@@ -626,7 +626,7 @@ let run_flight_overhead () =
   Printf.printf "flight-overhead assertion: level-1 delta %.2f%% < 5%%: OK\n"
     (100. *. delta)
 
-(* EXP-HOTPATH's two assertions (ISSUE 10 / ROADMAP item 2): the
+(* The three EXP-HOTPATH assertions (see EXPERIMENTS.md): the
    no-conflict WAL-off path takes zero mutexes end to end, and removing
    them bought a real speedup.  The zero-lock check is deterministic —
    Lockstat counts actual mutex acquisitions, so it is immune to CI
@@ -634,8 +634,14 @@ let run_flight_overhead () =
    same process with Lockstat.force_slow routing everything through the
    pre-rework mutex paths; on boxes with fewer than 4 cores the mutex
    convoy never forms, so the ratio assertion relaxes to >= 1 there
-   (the zero-lock check still proves the structural claim).
-   HOTPATH_BASELINE=1 skips both assertions (baseline measurement). *)
+   (the zero-lock check still proves the structural claim).  The third
+   bounds what sharing one counter costs: Inc/Inc commutes, so eight
+   domains on one counter must stay within [max_shared_ratio] of eight
+   domains on private counters (the unbounded CAS loop that livelocked
+   on a shared object measured 12-14x).
+   HOTPATH_BASELINE=1 skips the assertions (baseline measurement). *)
+let max_shared_ratio = 8.0
+
 let run_hotpath () =
   print_endline "";
   print_endline "hotpath (no-conflict WAL-off transactions, lock-free fast path):";
@@ -654,7 +660,9 @@ let run_hotpath () =
       (fun r -> r.Sim.Hotpath.h_label = "private-8d")
       rows
   in
+  let shared = List.find (fun r -> r.Sim.Hotpath.h_label = "shared-8d") rows in
   let speedup = slow.Sim.Hotpath.h_us_per_txn /. fast.Sim.Hotpath.h_us_per_txn in
+  let shared_ratio = shared.Sim.Hotpath.h_us_per_txn /. fast.Sim.Hotpath.h_us_per_txn in
   let locks = Runtime.Lockstat.total fast.Sim.Hotpath.h_locks in
   Printf.printf
     "  8-domain private: %.2f us/txn lock-free vs %.2f us/txn forced-mutex (%.2fx), %d \
@@ -689,7 +697,14 @@ let run_hotpath () =
       exit 1
     end;
     Printf.printf "hotpath assertion: lock-free speedup %.2fx >= %.2fx: OK\n" speedup
-      min_speedup
+      min_speedup;
+    if shared_ratio > max_shared_ratio then begin
+      Format.eprintf "FAIL: shared-8d costs %.2fx private-8d per txn > allowed %.2fx@."
+        shared_ratio max_shared_ratio;
+      exit 1
+    end;
+    Printf.printf "hotpath assertion: shared-8d %.2fx private-8d per txn <= %.2fx: OK\n"
+      shared_ratio max_shared_ratio
   end
 
 let () =

@@ -78,13 +78,17 @@ module Make (A : Spec.Adt_sig.S) = struct
      holder costs the holder one CAS retry, never a lost update.
      CAS on the machine is ABA-free: every transition allocates a fresh
      immutable value, and OCaml's compare-and-set is physical equality
-     on pointers that cannot be recycled while m0 is still reachable. *)
+     on pointers that cannot be recycled while m0 is still reachable.
+     [serial] is nonzero while a mutex holder that kept losing its CAS
+     is announced (see [transition]); it turns the fast path off so new
+     publishers queue on the mutex behind it. *)
   type t = {
     name : string;
     key : int; (* process-unique, for participant registration *)
     cell : int option; (* cell of a partitioned logical object, if any *)
     mutex : Mutex.t;
     machine : C.t Atomic.t;
+    serial : int Atomic.t;
     invocations : int Atomic.t;
     conflicts : int Atomic.t;
     blocked : int Atomic.t;
@@ -131,6 +135,7 @@ module Make (A : Spec.Adt_sig.S) = struct
       cell;
       mutex = Mutex.create ();
       machine = Atomic.make (C.create ~conflict);
+      serial = Atomic.make 0;
       invocations = Atomic.make 0;
       conflicts = Atomic.make 0;
       blocked = Atomic.make 0;
@@ -171,16 +176,17 @@ module Make (A : Spec.Adt_sig.S) = struct
      no per-object side effects beyond the machine CAS itself: no trace
      emission, no WAL append, no event recording, and Lockstat's forced
      slow mode off.  [trace]/[wal]/[record] are fixed at creation; the
-     global trace switch and forced-slow flag are dynamic, so a toggle
-     mid-run routes new invocations back through the mutex (in-flight
-     fast-path CAS publishes stay linearizable either way — see
-     [transition]). *)
+     global trace switch, the forced-slow flag and an announced
+     serializer ([serial]) are dynamic, so a toggle mid-run routes new
+     invocations back through the mutex (in-flight fast-path CAS
+     publishes stay linearizable either way — see [transition]). *)
   let fast_path t =
     Option.is_none t.wal
     && (not t.record)
     && Option.is_none t.trace
     && (not (Obs.Control.enabled ()))
-    && not (Lockstat.force_slow ())
+    && (not (Lockstat.force_slow ()))
+    && Atomic.get t.serial = 0
 
   let emit t ~txn ev =
     match t.trace with
@@ -309,31 +315,9 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   let push_event t e = if t.record then t.events <- e :: t.events
 
-  (* Every machine update — fast path or slow — lands through this CAS
-     loop.  [f] must be pure in the machine: compute the successor and
-     an outcome, no side effects (those belong after the transition
-     lands, under the mutex if they must stay in machine order).  The
-     pure machine is immutable, so a failed CAS just recomputes against
-     the fresher value; physical equality short-circuits no-op
-     transitions. *)
-  let rec transition t f =
-    let m0 = Atomic.get t.machine in
-    let m1, out = f m0 in
-    if m1 == m0 || Atomic.compare_and_set t.machine m0 m1 then out
-    else begin
-      Domain.cpu_relax ();
-      transition t f
-    end
-
-  (* The pure machine never refuses invoke/commit/abort events. *)
-  let apply_input t event =
-    transition t (fun m ->
-        match C.step m event with Ok m' -> (m', ()) | Error _ -> assert false);
-    push_event t event
-
   (* Any accepted event (and an unpin) may advance the horizon and fold
-     committed transactions into the version; diff the compaction
-     summary around the transition and report the fold as trace events.
+     committed transactions into the version; diff the fold count
+     around the transition and report the fold as trace events.
      [Forgotten] carries the cumulative fold count, so Theorem 24's
      monotonicity is directly visible in the event stream.
 
@@ -342,30 +326,103 @@ module Make (A : Spec.Adt_sig.S) = struct
      horizon timestamp is a sound recovery base, and every log record of
      a transaction whose every touched object has checkpointed at or
      past its timestamp becomes dead weight the log compactor may
-     drop. *)
+     drop.  Runs under the mutex, wrapped around every locked
+     transition ([transition_locked]), so no call site can miss a
+     fold. *)
   let with_fold_events t ~txn f =
     if (not (tracing t)) && Option.is_none t.wal then f ()
     else begin
-      let before = C.summary (Atomic.get t.machine) in
-      f ();
-      let after = C.summary (Atomic.get t.machine) in
-      if after.C.s_forgotten > before.C.s_forgotten then begin
+      let before = C.forgotten (Atomic.get t.machine) in
+      let out = f () in
+      let m = Atomic.get t.machine in
+      let after = C.forgotten m in
+      if after > before then begin
         if tracing t then begin
-          (match after.C.s_folded_upto with
+          (match C.folded_upto m with
           | Hybrid.Xts.Fin ts -> emit t ~txn (Obs.Trace.Horizon_advanced ts)
           | Hybrid.Xts.Neg_inf -> ());
-          emit t ~txn (Obs.Trace.Forgotten after.C.s_forgotten)
+          emit t ~txn (Obs.Trace.Forgotten after)
         end;
-        Obs.Metrics.add m_forgotten (after.C.s_forgotten - before.C.s_forgotten);
-        match (t.wal, after.C.s_folded_upto) with
+        Obs.Metrics.add m_forgotten (after - before);
+        match (t.wal, C.folded_upto m) with
         | Some (w, codec), Hybrid.Xts.Fin upto ->
-          let payload =
-            Wal.Codec.encode_states codec (C.version_states (Atomic.get t.machine))
-          in
+          let payload = Wal.Codec.encode_states codec (C.version_states m) in
           Wal.Log.append w (Wal.Log.Checkpoint { obj = t.name; upto; payload; cell = t.cell })
         | _ -> ()
-      end
+      end;
+      out
     end
+
+  (* Every machine update — fast path or slow — lands through a CAS on
+     [t.machine].  [f] must be pure in the machine: compute the successor
+     and an outcome, no side effects (those belong after the transition
+     lands, under the mutex if they must stay in machine order).  The
+     pure machine is immutable, so a failed CAS just recomputes against
+     the fresher value; physical equality short-circuits no-op
+     transitions.
+
+     A publish is lock-free for [cas_attempts] tries, then fair
+     (announce-and-serialize): it takes the mutex if it does not hold
+     it already, raises [serial] and only then retries until it lands.
+     An unbounded lock-free loop livelocks on a shared object: a
+     committer whose timestamp arrives out of order replays every
+     remembered commit ([Compacted] cache recompute), each win by the
+     other domains adds one more, and its own pending bound pins the
+     horizon so the remembered list never shrinks.  With [serial]
+     raised, [fast_path] is off, so every new invoker and committer
+     queues on the mutex; every mutex-held caller is behind the
+     announcer; the only publishes left to race it are those already in
+     flight — at most one per domain, each of which either lands once or
+     joins the mutex queue.  The announcer therefore lands after at most
+     one foreign publish per domain.  Uncontended objects never take the
+     second phase, so the private-object path stays mutex-free. *)
+  let cas_attempts = 4
+
+  let try_publish t f =
+    let m0 = Atomic.get t.machine in
+    let m1, out = f m0 in
+    if m1 == m0 || Atomic.compare_and_set t.machine m0 m1 then Some out else None
+
+  let rec lock_free t f n =
+    if n = 0 || Atomic.get t.serial <> 0 then None
+    else
+      match try_publish t f with
+      | Some _ as landed -> landed
+      | None ->
+        Domain.cpu_relax ();
+        lock_free t f (n - 1)
+
+  let rec until_landed t f =
+    match try_publish t f with
+    | Some out -> out
+    | None ->
+      Domain.cpu_relax ();
+      until_landed t f
+
+  (* Caller holds the mutex. *)
+  let serialized t f =
+    Atomic.incr t.serial;
+    Fun.protect ~finally:(fun () -> Atomic.decr t.serial) (fun () -> until_landed t f)
+
+  (* For callers that do not hold the mutex (the fast path, [pin]). *)
+  let transition t f =
+    match lock_free t f cas_attempts with
+    | Some out -> out
+    | None -> with_lock t (fun () -> serialized t f)
+
+  (* For callers that hold the mutex: the publish, plus its fold
+     report. *)
+  let transition_locked t ~txn f =
+    with_fold_events t ~txn (fun () ->
+        match lock_free t f cas_attempts with Some out -> out | None -> serialized t f)
+
+  (* The pure machine never refuses invoke/commit/abort events. *)
+  let input event m =
+    match C.step m event with Ok m' -> (m', ()) | Error _ -> assert false
+
+  let apply_input_locked t ~txn event =
+    transition_locked t ~txn (input event);
+    push_event t event
 
   let participant t txn : Txn_rt.participant =
     let q = Txn_rt.model_txn txn in
@@ -375,14 +432,14 @@ module Make (A : Spec.Adt_sig.S) = struct
       on_commit =
         (fun ts ->
           (if fast_path t then begin
-             apply_input t (H.Commit (q, ts));
+             transition t (input (H.Commit (q, ts)));
              Atomic.incr t.commits;
              Obs.Metrics.incr m_commits
            end
            else
              with_lock t (fun () ->
                  emit t ~txn:qid (Obs.Trace.Commit ts);
-                 with_fold_events t ~txn:qid (fun () -> apply_input t (H.Commit (q, ts)));
+                 apply_input_locked t ~txn:qid (H.Commit (q, ts));
                  Atomic.incr t.commits;
                  Obs.Metrics.incr m_commits));
           (* The commit released this transaction's locks here: hand any
@@ -393,14 +450,14 @@ module Make (A : Spec.Adt_sig.S) = struct
       on_abort =
         (fun () ->
           (if fast_path t then begin
-             apply_input t (H.Abort q);
+             transition t (input (H.Abort q));
              Atomic.incr t.aborts;
              Obs.Metrics.incr m_aborts
            end
            else
              with_lock t (fun () ->
                  emit t ~txn:qid Obs.Trace.Abort;
-                 with_fold_events t ~txn:qid (fun () -> apply_input t (H.Abort q));
+                 apply_input_locked t ~txn:qid (H.Abort q);
                  Atomic.incr t.aborts;
                  Obs.Metrics.incr m_aborts));
           Sched.notify ~obj:t.key);
@@ -481,9 +538,9 @@ module Make (A : Spec.Adt_sig.S) = struct
             | Some i' when A.equal_inv i i' -> ()
             | Some _ | None ->
               emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
-              with_fold_events t ~txn:qid (fun () -> apply_input t (H.Invoke (q, i))));
+              apply_input_locked t ~txn:qid (H.Invoke (q, i)));
             let chosen =
-              transition t (fun m ->
+              transition_locked t ~txn:qid (fun m ->
                   match C.choose_response m q with
                   | Ok (r, m') -> (m', Ok r)
                   | Error e -> (m, Error e))
@@ -615,14 +672,15 @@ module Make (A : Spec.Adt_sig.S) = struct
     {
       Snapshot.source_name = t.name;
       (* Pinning is a pure transition (no fold can result), so readers
-         never take the mutex on entry; unpin can fold — checkpoint and
-         trace side effects keep it on the mutex. *)
+         take the mutex on entry only if the publish turns fair; unpin
+         can fold — checkpoint and trace side effects keep it on the
+         mutex. *)
       pin = (fun reader at -> transition t (fun m -> (C.pin m reader at, ())));
       unpin =
         (fun reader ->
           with_lock t (fun () ->
-              with_fold_events t ~txn:(Model.Txn.id reader) (fun () ->
-                  transition t (fun m -> (C.unpin m reader, ())))));
+              transition_locked t ~txn:(Model.Txn.id reader) (fun m ->
+                  (C.unpin m reader, ()))));
     }
 
   let read_at t ~at i =

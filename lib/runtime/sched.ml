@@ -127,9 +127,11 @@ let rec slot_for index =
 
 let my_slot () = slot_for (domain_index ())
 
-(* Drain any buffered wake bytes (stale signals from a previous waiter
-   on this slot wake the next parker spuriously — benign, it re-attempts
-   — but draining at entry keeps the common case clean). *)
+(* Drain any buffered wake bytes.  A stale byte is one [deliver] wrote
+   after its waiter had already settled (the claim CAS comes before the
+   write, so the parker can see the claim, finish, and leave before the
+   byte lands).  Left in the pipe it makes every later [select] on the
+   slot return at once. *)
 let drain slot =
   let buf = Bytes.create 64 in
   let rec go () =
@@ -147,6 +149,10 @@ let signal_slot slot =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     () (* pipe buffer full: a wake byte is already pending *)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* A wake byte on the caller's slot with no delivery behind it: what a
+   late [deliver] leaves once its waiter has gone. *)
+let stray_wake () = signal_slot (my_slot ())
 
 (* Deliver a wake-up: claim the waiter (0 -> 1) and poke its pipe.
    Claiming first means a cancelled or already-woken waiter costs
@@ -291,19 +297,26 @@ let help () =
 (* Timed wait on the ticket: returns as soon as a release signals us, at
    the latest after [timeout].  The caller must have re-attempted after
    registering (see module comment); a signal that raced our entry is
-   caught by the state check before and the pipe byte during select. *)
+   caught by the state check before and the pipe byte during select.
+   The slot is drained on entry, before the state check (a delivery
+   claimed after the check writes its byte after the drain, so none is
+   lost), and on both exits: a stale byte must not turn the next park
+   on this slot into an immediate timeout. *)
 let park w ~timeout =
   Atomic.incr n_parks;
+  drain w.w_slot;
   let finish () =
     (* Settle the state: 1 stays (woken), 0 becomes 2 (expired). *)
-    if Atomic.get w.w_state = 1 || not (Atomic.compare_and_set w.w_state 0 2) then begin
-      drain w.w_slot;
-      `Woken
-    end
-    else begin
-      Atomic.incr n_timeouts;
-      `Timeout
-    end
+    let r =
+      if Atomic.get w.w_state = 1 || not (Atomic.compare_and_set w.w_state 0 2) then
+        `Woken
+      else begin
+        Atomic.incr n_timeouts;
+        `Timeout
+      end
+    in
+    drain w.w_slot;
+    r
   in
   if Atomic.get w.w_state = 1 then finish ()
   else begin

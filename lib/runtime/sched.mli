@@ -63,6 +63,12 @@ val domain_index : unit -> int
     monotone domain id used to alias them once ids drifted a table
     length apart.  Exposed for tests. *)
 
+val stray_wake : unit -> unit
+(** Write one wake byte on the calling domain's park slot with no
+    delivery behind it — the byte a late delivery leaves once its
+    waiter has gone.  Exposed for tests: the next {!park} on the slot
+    must still wait out its timeout. *)
+
 type stats = { parks : int; wakes : int; steals : int; timeouts : int; notifies : int }
 
 val stats : unit -> stats

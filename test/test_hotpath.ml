@@ -333,6 +333,91 @@ let prop_striped_draws_multicore =
       in
       residue_ok && unique_ok && ascending_ok && final_ok && Atomic.get monotone)
 
+(* ---------------- shared-object horizon stall ---------------- *)
+
+module C = Adt.Counter
+module CObj = Runtime.Atomic_obj.Make (C)
+
+(* The remembered-commit count (Theorem 24's compaction debt) of the
+   object named [name], read through the "horizon" snapshot channel. *)
+let remembered_of name =
+  match Obs.Registry.snapshot "horizon" with
+  | Obs.Json.List rows ->
+    List.fold_left
+      (fun acc row ->
+        match Option.bind (Obs.Json.member "object" row) Obs.Json.to_str with
+        | Some n when String.equal n name ->
+          Option.value ~default:acc
+            (Option.bind (Obs.Json.member "remembered" row) Obs.Json.to_int)
+        | _ -> acc)
+      0 rows
+  | _ -> 0
+
+(* Two domains commit three Inc each per transaction on one counter.
+   Inc/Inc never conflicts, so nothing should serialize and the debt
+   should close as transactions complete.  An unbounded lock-free
+   publish loop livelocked here: a committer whose timestamp arrived out
+   of order had to replay every remembered commit per CAS attempt, the
+   other domain's wins kept adding commits to replay, and the loser's
+   own bound pinned the horizon — one transaction lived for most of the
+   run while the debt climbed into the thousands.  Bounded CAS retries
+   followed by announce-and-serialize must keep the debt small and let
+   both domains progress. *)
+let test_shared_counter_no_horizon_stall () =
+  let txns_per_domain = 4000 in
+  (* The observability switch defaults to on, and while it is on every
+     publish takes the mutex: the CAS path under test needs it off. *)
+  let obs = Obs.Control.enabled () in
+  Obs.Control.set_enabled false;
+  let mgr = Runtime.Manager.create () in
+  let name = Printf.sprintf "hotpath-stall-%d" (Runtime.Txn_rt.fresh_object_key ()) in
+  let o = CObj.create ~name ~conflict:C.conflict_hybrid () in
+  CObj.register_introspection o;
+  Fun.protect
+    ~finally:(fun () ->
+      CObj.unregister_introspection o;
+      Obs.Control.set_enabled obs)
+  @@ fun () ->
+  let max_debt = Atomic.make 0 in
+  let rec record_debt d =
+    let cur = Atomic.get max_debt in
+    if d > cur && not (Atomic.compare_and_set max_debt cur d) then record_debt d
+  in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        let longest = ref 0.0 in
+        for k = 1 to txns_per_domain do
+          let t0 = Unix.gettimeofday () in
+          Runtime.Manager.run mgr (fun txn ->
+              for _ = 1 to 3 do
+                ignore (CObj.invoke o txn (C.Inc 1))
+              done);
+          longest := Float.max !longest (Unix.gettimeofday () -. t0);
+          if k mod 8 = 0 then record_debt (remembered_of name)
+        done;
+        !longest)
+  in
+  let longest = List.map Domain.join [ worker (); worker () ] in
+  check_int "every increment committed" (2 * txns_per_domain * 3)
+    (List.hd (CObj.committed_states o));
+  check_bool
+    (Printf.sprintf "compaction debt stays bounded (max %d remembered)"
+       (Atomic.get max_debt))
+    true
+    (Atomic.get max_debt < 2000);
+  List.iteri
+    (fun d s ->
+      check_bool
+        (Printf.sprintf "domain %d not starved (longest transaction %.1f ms)" d
+           (s *. 1e3))
+        true (s < 0.2))
+    longest
+
 (* ---------------- scheduler rendezvous ---------------- *)
 
 let test_sched_park_and_wake () =
@@ -355,6 +440,27 @@ let test_sched_timeout_backstop () =
   check_bool "did not oversleep grossly" true (waited < 1.0);
   (* A timed-out (settled) waiter must not absorb the next release. *)
   Runtime.Sched.notify ~obj
+
+(* A delivery claims its waiter before it writes the wake byte, so the
+   byte can land after the waiter has already seen the claim and left.
+   [park] drained the slot only on the woken path, so that late byte
+   made every later park on the slot return at once as a timeout — the
+   timeout backstop became a busy spin.  With a stray byte on the slot,
+   the next two parks must each wait out their timeout. *)
+let test_sched_stray_byte_does_not_cut_park () =
+  let obj = Runtime.Txn_rt.fresh_object_key () in
+  Runtime.Sched.stray_wake ();
+  List.iter
+    (fun txn ->
+      let ticket = Runtime.Sched.register ~obj ~txn in
+      let t0 = Unix.gettimeofday () in
+      let r = Runtime.Sched.park ticket ~timeout:0.05 in
+      let waited = Unix.gettimeofday () -. t0 in
+      check_bool "timed out" true (r = `Timeout);
+      check_bool
+        (Printf.sprintf "waited out the timeout (%.1f ms)" (waited *. 1e3))
+        true (waited >= 0.04))
+    [ 5; 6 ]
 
 let test_sched_cancel_is_inert () =
   let obj = Runtime.Txn_rt.fresh_object_key () in
@@ -492,10 +598,17 @@ let () =
             test_draw_revalidates_observed_multicore;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_striped_draws_multicore ] );
+      ( "shared-obj",
+        [
+          Alcotest.test_case "no horizon stall on a shared counter" `Quick
+            test_shared_counter_no_horizon_stall;
+        ] );
       ( "scheduler",
         [
           Alcotest.test_case "park and wake" `Quick test_sched_park_and_wake;
           Alcotest.test_case "timeout backstop" `Quick test_sched_timeout_backstop;
+          Alcotest.test_case "stray wake byte does not cut a park" `Quick
+            test_sched_stray_byte_does_not_cut_park;
           Alcotest.test_case "cancel is inert" `Quick test_sched_cancel_is_inert;
           Alcotest.test_case "ring wrap loses no waiter" `Quick
             test_ring_wrap_steal_no_lost_waiter;

@@ -190,6 +190,48 @@ let test_log_stays_bounded () =
   | Error e -> Alcotest.fail e
   | Ok oc -> check_bool "recovered count" true (R.equal_states oc.R.states [ txns ])
 
+(* ---------------- a fold on a response checkpoints ---------------- *)
+
+module Qobj = Runtime.Atomic_obj.Make (Adt.Fifo_queue)
+
+let test_fold_on_response_checkpoints () =
+  (* The horizon can advance on a response, not only on invoke, commit
+     or abort: a refused invocation stays pending with the timestamp
+     bound it drew at invoke time, and the response that finally lands
+     raises that bound to the current clock.  Here the requester's
+     stale bound is the only thing holding the holder's commit back, so
+     the fold happens on the requester's response — and like every
+     fold it must append a Checkpoint. *)
+  let path = temp_wal () in
+  let w = Wal.Log.create ~fsync:false path in
+  let q =
+    Qobj.create ~wal:(w, Adt.Fifo_queue.codec) ~conflict:Adt.Fifo_queue.conflict_rw ()
+  in
+  let name = Qobj.name q in
+  let holder = Runtime.Txn_rt.fresh ~priority:1 () in
+  (match Qobj.try_invoke q holder (Adt.Fifo_queue.Enq 1) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "holder's enq should succeed");
+  let requester = Runtime.Txn_rt.fresh ~priority:2 () in
+  (match Qobj.try_invoke q requester (Adt.Fifo_queue.Enq 2) with
+  | Error (`Conflict _) -> ()
+  | _ -> Alcotest.fail "requester's enq should conflict with the holder's");
+  Runtime.Txn_rt.commit holder 1;
+  check_bool "the pending requester holds the commit back" true
+    (Wal.Log.checkpoint_upto w name = None);
+  (match Qobj.try_invoke q requester (Adt.Fifo_queue.Enq 2) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "requester's retry should succeed after the commit");
+  check_int "folded on the response" 1 (Qobj.stats q).Qobj.forgotten;
+  check_bool "the response's fold appended a checkpoint" true
+    (Wal.Log.checkpoint_upto w name = Some 1);
+  Runtime.Txn_rt.abort requester;
+  Wal.Log.close w;
+  let records, _ = Wal.Log.read path in
+  check_int "one Checkpoint record in the file" 1
+    (List.length
+       (List.filter (function Wal.Log.Checkpoint _ -> true | _ -> false) records))
+
 (* ---------------- snapshot pin blocks truncation ---------------- *)
 
 let test_pin_blocks_checkpoint_past_pin () =
@@ -274,6 +316,8 @@ let () =
           Alcotest.test_case "log stays O(live) under commits" `Quick test_log_stays_bounded;
           Alcotest.test_case "snapshot pin blocks truncation" `Quick
             test_pin_blocks_checkpoint_past_pin;
+          Alcotest.test_case "fold on a response checkpoints" `Quick
+            test_fold_on_response_checkpoints;
         ] );
       ( "recovery",
         [

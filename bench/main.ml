@@ -632,15 +632,19 @@ let run_flight_overhead () =
    Lockstat counts actual mutex acquisitions, so it is immune to CI
    machine noise.  The speedup check compares the same workload in the
    same process with Lockstat.force_slow routing everything through the
-   pre-rework mutex paths; on boxes with fewer than 4 cores the mutex
-   convoy never forms, so the ratio assertion relaxes to >= 1 there
-   (the zero-lock check still proves the structural claim).  The third
+   pre-rework mutex paths.  It takes the median of [speedup_pairs]
+   interleaved lock-free/forced-mutex pairs' ratios, so one run landing
+   in a slow host period cannot decide it.  On boxes with fewer than 4
+   cores the mutex convoy never forms, so the ratio assertion relaxes
+   to >= 1 there (the zero-lock check still proves the structural
+   claim).  The third
    bounds what sharing one counter costs: Inc/Inc commutes, so eight
    domains on one counter must stay within [max_shared_ratio] of eight
    domains on private counters (the unbounded CAS loop that livelocked
    on a shared object measured 12-14x).
    HOTPATH_BASELINE=1 skips the assertions (baseline measurement). *)
 let max_shared_ratio = 8.0
+let speedup_pairs = 5
 
 let run_hotpath () =
   print_endline "";
@@ -650,24 +654,33 @@ let run_hotpath () =
   Format.printf "%a" Sim.Hotpath.pp_header ();
   let rows = Sim.Hotpath.sweep ~txns ~domains:[ 1; 2; 4; 8 ] () in
   List.iter (fun r -> Format.printf "%a" Sim.Hotpath.pp_row r) rows;
-  let slow =
-    Sim.Hotpath.run ~txns ~shape:`Private ~force_slow:true ~label:"private-8d-mutex"
-      ~domains:8 ()
-  in
-  Format.printf "%a" Sim.Hotpath.pp_row slow;
   let fast =
     List.find
       (fun r -> r.Sim.Hotpath.h_label = "private-8d")
       rows
   in
   let shared = List.find (fun r -> r.Sim.Hotpath.h_label = "shared-8d") rows in
-  let speedup = slow.Sim.Hotpath.h_us_per_txn /. fast.Sim.Hotpath.h_us_per_txn in
+  let pair () =
+    let f =
+      Sim.Hotpath.run ~txns ~shape:`Private ~label:"private-8d" ~domains:8 ()
+    in
+    let m =
+      Sim.Hotpath.run ~txns ~shape:`Private ~force_slow:true ~label:"private-8d-mutex"
+        ~domains:8 ()
+    in
+    Format.printf "%a%a" Sim.Hotpath.pp_row f Sim.Hotpath.pp_row m;
+    m.Sim.Hotpath.h_us_per_txn /. f.Sim.Hotpath.h_us_per_txn
+  in
+  let ratios = List.init speedup_pairs (fun _ -> pair ()) |> List.sort compare in
+  let speedup = List.nth ratios (speedup_pairs / 2) in
   let shared_ratio = shared.Sim.Hotpath.h_us_per_txn /. fast.Sim.Hotpath.h_us_per_txn in
   let locks = Runtime.Lockstat.total fast.Sim.Hotpath.h_locks in
   Printf.printf
-    "  8-domain private: %.2f us/txn lock-free vs %.2f us/txn forced-mutex (%.2fx), %d \
-     mutex acquisitions\n"
-    fast.Sim.Hotpath.h_us_per_txn slow.Sim.Hotpath.h_us_per_txn speedup locks;
+    "  8-domain private: lock-free/forced-mutex speedup %.2fx (median of %d pairs: %s), \
+     %d mutex acquisitions\n"
+    speedup speedup_pairs
+    (String.concat " " (List.map (Printf.sprintf "%.2fx") ratios))
+    locks;
   if Sys.getenv_opt "HOTPATH_BASELINE" = Some "1" then
     print_endline "hotpath assertions: skipped (HOTPATH_BASELINE=1)"
   else begin

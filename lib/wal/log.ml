@@ -220,8 +220,18 @@ type t = {
   mutable syncing : bool; (* a sync leader is running (fd must not be swapped) *)
   mutable n_syncs : int; (* completed durability rounds (one fsync each) *)
   mutable sync_hook : (unit -> unit) option; (* test fault injection *)
-  mutable file_records : int; (* records in the current file *)
-  mutable file_bytes : int;
+  mutable failed : exn option;
+      (* a failed round whose write could not be truncated away: the
+         file's tail is unknown, so the log refuses further appends,
+         syncs and writes *)
+  pending : Buffer.t;
+      (* framed records appended but not yet written, in LSN order.
+         Outside a round these are exactly the LSNs in
+         (durable_lsn, seq]: a round writes them all or (on failure)
+         puts them back, and a rewrite retains the live ones *)
+  mutable pending_records : int;
+  mutable file_records : int; (* records in the current file, pending included *)
+  mutable file_bytes : int; (* likewise bytes *)
   (* live-set bookkeeping: exactly the records a rewrite must retain *)
   objs : (string, string * int option) Hashtbl.t; (* obj -> (adt, cell) *)
   ckpts : (string, int * string * int option) Hashtbl.t; (* obj -> (upto, payload, cell) *)
@@ -237,7 +247,9 @@ type t = {
 }
 
 let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 512) path =
-  let fd = Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
+  (* O_APPEND: every write lands at the end of the file, so a round that
+     truncates a failed write away leaves no hole before the next one. *)
+  let fd = Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_APPEND; O_CLOEXEC ] 0o644 in
   {
     path;
     fsync;
@@ -252,6 +264,9 @@ let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 512) pat
     syncing = false;
     n_syncs = 0;
     sync_hook = None;
+    failed = None;
+    pending = Buffer.create 4096;
+    pending_records = 0;
     file_records = 0;
     file_bytes = 0;
     objs = Hashtbl.create 8;
@@ -352,9 +367,11 @@ let account t seq = function
 (* Rewrite the file down to the live set: per-object declarations and
    latest checkpoints first, then the retained transaction records in
    their original append order.  Atomic via write-to-temp + rename, so a
-   crash during the rewrite leaves the previous log intact.  Must not
-   run while a sync leader is fsyncing outside the mutex — the leader
-   holds the old fd. *)
+   crash during the rewrite leaves the previous log intact.  The live
+   set already holds every live pending record, so the pending buffer is
+   dropped, not written.  Must not run while a sync leader's round is in
+   flight — the leader holds the old fd and a batch taken from
+   [pending]. *)
 let rewrite_locked t =
   let buf = Buffer.create 4096 in
   let count = ref 0 in
@@ -402,29 +419,52 @@ let rewrite_locked t =
   t.fd <- Unix.openfile t.path Unix.[ O_WRONLY; O_APPEND; O_CLOEXEC ] 0o644;
   (* The whole live set was just written (and, when durability is on,
      fsynced through the rename): every appended record is durable. *)
+  Buffer.clear t.pending;
+  t.pending_records <- 0;
   t.durable_lsn <- t.seq;
   t.file_records <- !count;
   t.file_bytes <- Buffer.length buf;
   Obs.Metrics.incr m_rewrites
 
+(* A rewrite is due once [compact_threshold] dead records accumulate.
+   Testing [file_records] first is the same trigger (live >= 0) and
+   skips the O(live) fold on most appends.  A rewrite due during a
+   leader's round is deferred, never waited for: the leader runs it
+   when its round ends.  So outside a round [pending] holds fewer than
+   [compact_threshold + live] records, and during one it holds only
+   that round's appends. *)
 let maybe_rewrite_locked t =
   if
     (not t.syncing)
+    && t.file_records >= t.compact_threshold
     && t.file_records - live_records t >= t.compact_threshold
   then rewrite_locked t
 
+let check_usable t what =
+  if t.closed then invalid_arg (Printf.sprintf "Wal.Log.%s: log closed" what);
+  match t.failed with
+  | Some e ->
+    failwith
+      (Printf.sprintf "Wal.Log.%s: log failed (a failed sync round could not be undone: %s)"
+         what (Printexc.to_string e))
+  | None -> ()
+
+(* Framing and the CRC run before the mutex; under it an append is a
+   buffer copy plus the live-set bookkeeping.  No I/O: the bytes reach
+   the file in the next sync round (or a rewrite, or [close]). *)
 let append_lsn t record =
+  let buf = Buffer.create 64 in
+  frame buf record;
+  let n = Buffer.length buf in
   with_lock t (fun () ->
-      if t.closed then invalid_arg "Wal.Log.append: log closed";
-      let buf = Buffer.create 64 in
-      frame buf record;
-      let s = Buffer.contents buf in
-      write_all t.fd s;
+      check_usable t "append";
+      Buffer.add_buffer t.pending buf;
+      t.pending_records <- t.pending_records + 1;
       t.seq <- t.seq + 1;
       t.file_records <- t.file_records + 1;
-      t.file_bytes <- t.file_bytes + String.length s;
+      t.file_bytes <- t.file_bytes + n;
       Obs.Metrics.incr m_appends;
-      Obs.Metrics.add m_bytes (String.length s);
+      Obs.Metrics.add m_bytes n;
       account t t.seq record;
       let lsn = t.seq in
       maybe_rewrite_locked t;
@@ -436,33 +476,51 @@ let append t record = ignore (append_lsn t record : int)
 
    [sync_upto t lsn] returns only once every record with LSN <= [lsn]
    is durable.  The first committer to arrive becomes the {e leader}:
-   it snapshots the appended watermark, releases the mutex (in group
-   commit mode) and runs one fsync covering every record appended so
-   far; committers arriving meanwhile wait on [t.cond], so one fsync
-   retires a whole batch.  In [group_commit = false] mode the fsync
-   runs while holding the mutex — appends (and hence commit-timestamp
-   draws) serialize behind it, which is the pre-group-commit baseline
-   the bench compares against.
+   it takes the pending bytes together with the appended watermark,
+   releases the mutex (in group commit mode) and runs one round — one
+   [write] of the whole batch, the sync hook, one fsync — covering every
+   record appended so far; committers arriving meanwhile wait on
+   [t.cond] while their own appends fill the next batch, so one round
+   retires a whole batch.  In [group_commit = false] mode the round runs
+   while holding the mutex — appends (and hence commit-timestamp draws)
+   serialize behind it, which is the pre-group-commit baseline the bench
+   compares against.
 
-   A failing fsync wakes all waiters without advancing [durable_lsn];
-   each waiter re-enters leader election, so a transient fault retries
-   while a persistent one surfaces to every committer in the batch. *)
+   A failed round (the write, the hook or the fsync raised) truncates
+   the file back to its length before the write and puts the batch back
+   at the front of [pending]: nothing is lost and no torn frame is left
+   to hide later records from [parse].  The fd is O_APPEND, so the next
+   round's write starts at that length.  It then wakes all waiters
+   without advancing [durable_lsn]; each waiter re-enters leader
+   election, so a transient fault retries while a persistent one
+   surfaces to every committer in the batch.  If the truncate itself
+   fails the file's tail is unknown and the log fails for good. *)
 
-let run_sync_barrier t =
-  (match t.sync_hook with Some f -> f () | None -> ());
-  if t.fsync then begin
-    let t0 = Obs.Clock.now_ns () in
-    Unix.fsync t.fd;
-    let dur_ns = Obs.Clock.now_ns () - t0 in
-    Obs.Metrics.observe h_fsync (Obs.Clock.ns_to_s dur_ns);
-    Obs.Metrics.incr m_fsyncs;
-    (* Device-level flight record: one per physical fsync (the leader's),
-       as opposed to the per-transaction sync-wait window. *)
-    if Obs.Span.enabled () then Obs.Span.fsync ~dur_ns
-  end
+let run_round t ~base batch =
+  match
+    write_all t.fd batch;
+    (match t.sync_hook with Some f -> f () | None -> ());
+    if t.fsync then begin
+      let t0 = Obs.Clock.now_ns () in
+      Unix.fsync t.fd;
+      let dur_ns = Obs.Clock.now_ns () - t0 in
+      Obs.Metrics.observe h_fsync (Obs.Clock.ns_to_s dur_ns);
+      Obs.Metrics.incr m_fsyncs;
+      (* Device-level flight record: one per physical fsync (the leader's),
+         as opposed to the per-transaction sync-wait window. *)
+      if Obs.Span.enabled () then Obs.Span.fsync ~dur_ns
+    end
+  with
+  | () -> Ok ()
+  | exception e -> (
+    (* The error, and the truncate's own error if the write could not
+       be undone. *)
+    match Unix.ftruncate t.fd base with
+    | () -> Error (e, None)
+    | exception (Unix.Unix_error _ as te) -> Error (e, Some te))
 
 let rec sync_wait t lsn =
-  if t.closed then invalid_arg "Wal.Log.sync_upto: log closed";
+  check_usable t "sync_upto";
   if t.durable_lsn < lsn then
     if t.syncing then begin
       Condition.wait t.cond t.mutex;
@@ -473,31 +531,44 @@ let rec sync_wait t lsn =
       t.syncing <- true;
       let target = t.seq in
       let prev = t.durable_lsn in
+      let batch = Buffer.contents t.pending in
+      let batch_records = t.pending_records in
+      let base = t.file_bytes - String.length batch in
+      Buffer.clear t.pending;
+      t.pending_records <- 0;
       let result =
         if t.group_commit then begin
-          (* fsync outside the mutex: later committers keep appending
-             (the next batch forms during this fsync).  [t.syncing]
-             pins [t.fd]: no rewrite may swap it underneath us. *)
+          (* The round runs outside the mutex: later committers keep
+             appending (the next batch forms meanwhile).  [t.syncing]
+             pins [t.fd] and the file length: no rewrite may swap or
+             rewrite the file underneath us. *)
           Mutex.unlock t.mutex;
-          let r = try Ok (run_sync_barrier t) with e -> Error e in
+          let r = run_round t ~base batch in
           Mutex.lock t.mutex;
           r
         end
-        else (try Ok (run_sync_barrier t) with e -> Error e)
+        else run_round t ~base batch
       in
       t.syncing <- false;
       (match result with
       | Ok () ->
         t.durable_lsn <- max t.durable_lsn target;
         t.n_syncs <- t.n_syncs + 1;
-        Obs.Metrics.observe h_batch (float_of_int (target - prev));
-        (* A rewrite deferred because we were syncing can run now. *)
-        maybe_rewrite_locked t
-      | Error _ -> ());
+        Obs.Metrics.observe h_batch (float_of_int (target - prev))
+      | Error (_, undo_failed) ->
+        if undo_failed <> None then t.failed <- undo_failed;
+        let later = Buffer.contents t.pending in
+        Buffer.clear t.pending;
+        Buffer.add_string t.pending batch;
+        Buffer.add_string t.pending later;
+        t.pending_records <- batch_records + t.pending_records);
       Condition.broadcast t.cond;
       match result with
-      | Ok () -> if t.durable_lsn < lsn then sync_wait t lsn
-      | Error e -> raise e
+      | Ok () ->
+        (* A rewrite deferred because we were syncing can run now. *)
+        maybe_rewrite_locked t;
+        if t.durable_lsn < lsn then sync_wait t lsn
+      | Error (e, _) -> raise e
     end
 
 let sync_upto t lsn = with_lock t (fun () -> sync_wait t lsn)
@@ -515,9 +586,14 @@ let close t =
         Condition.wait t.cond t.mutex
       done;
       if not t.closed then begin
-        if t.durable_lsn < t.seq && t.fsync then Unix.fsync t.fd;
-        Unix.close t.fd;
-        t.closed <- true
+        t.closed <- true;
+        Fun.protect
+          ~finally:(fun () -> Unix.close t.fd)
+          (fun () ->
+            if t.failed = None then begin
+              write_all t.fd (Buffer.contents t.pending);
+              if t.durable_lsn < t.seq && t.fsync then Unix.fsync t.fd
+            end)
       end)
 
 let file_records t = with_lock t (fun () -> t.file_records)
@@ -549,6 +625,9 @@ let stats_json t () =
           ("committed_retained", Obs.Json.Int (Hashtbl.length t.committed));
           ("prepared", Obs.Json.Int (Hashtbl.length t.prepared));
           ("decisions_retained", Obs.Json.Int (Hashtbl.length t.decisions));
+          ("pending_records", Obs.Json.Int t.pending_records);
+          ("syncing", Obs.Json.Bool t.syncing);
+          ("failed", Obs.Json.Bool (t.failed <> None));
           ("appended_lsn", Obs.Json.Int t.seq);
           ("durable_lsn", Obs.Json.Int t.durable_lsn);
           ("fsyncs", Obs.Json.Int t.n_syncs);

@@ -59,24 +59,49 @@
 
     Every append is assigned a log sequence number (LSN, counting
     appends ever, surviving rewrites).  Two watermarks define the
-    durability state: {!appended_lsn} (everything written to the OS) and
-    {!durable_lsn} (everything forced to stable storage).  The
-    {e durability point} of a record is the return of {!sync_upto} for
-    its LSN: the record — and every record appended before it — is then
-    on disk.
+    durability state: {!appended_lsn} (everything appended to the log)
+    and {!durable_lsn} (everything written and forced to stable
+    storage).  The {e durability point} of a record is the return of
+    {!sync_upto} for its LSN: the record — and every record appended
+    before it — is then on disk.
+
+    An append does no I/O.  It frames and checksums the record before
+    taking the log mutex, and under the mutex only copies the frame into
+    an in-memory pending buffer and updates the live-set bookkeeping.
+    Intentions are redo records (Section 5.1): they need to be in the
+    file only by the durability point of the commit that covers them.
 
     {!sync_upto} batches.  The first committer to need a sync becomes
-    the {e leader}: it snapshots [appended_lsn] and runs a single fsync
-    covering every record appended so far, while later committers wait
-    on a condition variable until [durable_lsn] passes their LSN — so N
-    concurrent commits share one fsync, and the fsync runs {e outside}
-    the log mutex, letting the next batch's appends (and hence the
-    manager's commit-timestamp draws) proceed meanwhile.  Batching never
-    reorders the file: appends stay strictly ordered by the log mutex,
-    so durable commit-record order remains commit-timestamp order.
-    With [group_commit = false] the fsync runs while holding the log
-    mutex (every committer pays a serialized fsync) — the
-    pre-group-commit baseline. *)
+    the {e leader}: it takes the pending buffer together with
+    [appended_lsn] and runs one round — a single [write] of the whole
+    batch and a single fsync — while later committers wait on a
+    condition variable until [durable_lsn] passes their LSN.  So N
+    concurrent commits share one write and one fsync, and the round runs
+    {e outside} the log mutex, letting the next batch's appends (and
+    hence the manager's commit-timestamp draws) proceed meanwhile.
+    Batching never reorders the file: appends stay strictly ordered by
+    the log mutex and batches are written in order, so durable
+    commit-record order remains commit-timestamp order.  A failed round
+    truncates the file back to its length before the write and puts its
+    batch back at the front of the pending buffer; the log writes in
+    append mode, so the next round starts at that length.  A fault thus
+    neither loses records nor leaves a torn frame or a hole ahead of
+    later ones.  If the truncate itself fails, the file's tail is
+    unknown and the log fails for good: every later append and sync
+    raises [Failure], and {!close} writes nothing more.  With
+    [group_commit = false] the round runs while holding the log mutex
+    (every committer pays a serialized fsync) — the pre-group-commit
+    baseline.
+
+    Compaction bounds the pending buffer, so no flush threshold is
+    needed.  A rewrite writes the live set and drops the pending buffer,
+    and one runs as soon as [compact_threshold] of the file's records
+    (pending ones included) are dead.  During a round the rewrite is
+    deferred, never waited for — appends go on — and the round's leader
+    runs it when the round ends.  So outside a round the buffer holds at
+    most [compact_threshold + live] records, and during one it holds only
+    the appends made since the round began.  {!close} writes any
+    pending tail. *)
 
 type record =
   | Object of { obj : string; adt : string; cell : int option }
@@ -117,7 +142,9 @@ val create : ?fsync:bool -> ?group_commit:bool -> ?compact_threshold:int -> stri
     [compact_threshold] (default 512) dead records accumulate. *)
 
 val append : t -> record -> unit
-(** Thread-safe; buffered by the OS until a sync covers it. *)
+(** Thread-safe.  Queues the record in the log's pending buffer; it
+    reaches the file in the next sync round (or a rewrite, or {!close})
+    and is durable once a {!sync_upto} covering its LSN returns. *)
 
 val append_lsn : t -> record -> int
 (** Like {!append} but returns the record's LSN — the value to hand to
@@ -126,7 +153,8 @@ val append_lsn : t -> record -> int
 val sync_upto : t -> int -> unit
 (** Block until every record with LSN at or below the argument is
     durable (see the group-commit protocol above).  Raises whatever the
-    failing fsync (or an installed {!set_sync_hook} hook) raised; on
+    failing write or fsync (or an installed {!set_sync_hook} hook)
+    raised; on
     failure [durable_lsn] has {e not} advanced, and the records' fate on
     stable storage is unknown — callers must treat this as
     crash-equivalent for anything already appended (see
@@ -137,10 +165,12 @@ val sync : t -> unit
     outstanding. *)
 
 val set_sync_hook : t -> (unit -> unit) -> unit
-(** Install a hook that runs at every durability point, just before the
-    fsync (and even when [fsync:false]).  A raising hook makes the sync
-    fail exactly like a failing fsync — the regression tests inject
-    durability faults with this. *)
+(** Install a hook that runs in every sync round after the batch is
+    written and before the fsync (and even when [fsync:false]).  A
+    raising hook fails the round exactly like a failing fsync whose
+    bytes landed — the write is truncated away and the batch goes back
+    to the pending buffer — and the regression tests inject durability
+    faults with this.  A sleeping hook models the cost of the barrier. *)
 
 val clear_sync_hook : t -> unit
 
@@ -148,20 +178,25 @@ val close : t -> unit
 val path : t -> string
 
 val file_records : t -> int
-(** Records currently in the file (resets at each rewrite). *)
+(** Records in the file since the last rewrite, pending ones included
+    (resets at each rewrite). *)
 
 val file_bytes : t -> int
+(** Bytes of {!file_records}: the file's length once the pending
+    buffer is written. *)
 
 val live : t -> int
 (** Size of the live set a rewrite would retain — the O(live
     transactions) bound the acceptance criterion measures. *)
 
 val appended_lsn : t -> int
-(** LSN of the latest append (0 if none). *)
+(** LSN of the latest append (0 if none): appended to the log, not
+    necessarily written to the OS yet. *)
 
 val durable_lsn : t -> int
 (** Highest LSN known durable.  [appended_lsn - durable_lsn] is the
-    durable lag — the records a crash right now would tear off. *)
+    durable lag — the records a crash right now would lose, all of them
+    pending or in a round's batch. *)
 
 val fsyncs : t -> int
 (** Completed durability rounds — with [fsync] enabled, exactly the
@@ -176,8 +211,9 @@ val checkpoint_upto : t -> string -> int option
 
 val register_introspection : t -> unit
 (** Register this log with the live-introspection registry: a ["wal"]
-    snapshot channel provider (file/live record and byte counts, LSN
-    watermarks, checkpoint and active-transaction tallies, dirty flag)
+    snapshot channel provider (file/live record and byte counts, pending
+    buffer records, LSN watermarks, checkpoint and
+    active-transaction tallies, dirty, syncing and failed flags)
     and callback gauges [wal_file_bytes], [wal_live_records],
     [wal_checkpoint_lag] (committed transactions whose records the
     compactor must retain because some touched object has not

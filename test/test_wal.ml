@@ -190,6 +190,37 @@ let test_log_stays_bounded () =
   | Error e -> Alcotest.fail e
   | Ok oc -> check_bool "recovered count" true (R.equal_states oc.R.states [ txns ])
 
+(* ---------------- appends do no I/O ---------------- *)
+
+let test_appends_wait_for_durability_point () =
+  (* An append only queues the framed record: the file does not grow
+     until a sync round writes the batch, and then it holds exactly the
+     appended records in LSN order.  [close] writes an unsynced tail. *)
+  let path = temp_wal () in
+  let w = Wal.Log.create ~fsync:false path in
+  let size () = (Unix.stat path).Unix.st_size in
+  let intention k =
+    Wal.Log.Intention { obj = "c#1"; txn = k; payload = string_of_int k; cell = None }
+  in
+  let first = List.init 20 intention in
+  let lsns = List.map (Wal.Log.append_lsn w) first in
+  check_bool "LSNs count appends" true (lsns = List.init 20 succ);
+  check_int "no bytes written before a sync" 0 (size ());
+  Wal.Log.sync_upto w 20;
+  let records, tail = Wal.Log.read path in
+  check_bool "clean after the sync" true (tail = Wal.Log.Clean);
+  check_bool "exactly the appended records, in LSN order" true
+    (List.equal Wal.Log.equal_record first records);
+  let synced = size () in
+  let rest = [ Wal.Log.Commit { txn = 0; ts = 1 }; Wal.Log.Abort { txn = 1 } ] in
+  List.iter (Wal.Log.append w) rest;
+  check_int "an unsynced tail stays buffered" synced (size ());
+  Wal.Log.close w;
+  let records, tail = Wal.Log.read path in
+  check_bool "clean after close" true (tail = Wal.Log.Clean);
+  check_bool "close wrote the tail" true
+    (List.equal Wal.Log.equal_record (first @ rest) records)
+
 (* ---------------- a fold on a response checkpoints ---------------- *)
 
 module Qobj = Runtime.Atomic_obj.Make (Adt.Fifo_queue)
@@ -318,6 +349,8 @@ let () =
             test_pin_blocks_checkpoint_past_pin;
           Alcotest.test_case "fold on a response checkpoints" `Quick
             test_fold_on_response_checkpoints;
+          Alcotest.test_case "appends wait for the durability point" `Quick
+            test_appends_wait_for_durability_point;
         ] );
       ( "recovery",
         [
